@@ -3,14 +3,19 @@
 //!
 //! Two parts:
 //!
-//! 1. **Exact worst-case error** — [`axmul_sat::prove_wce`] pins the
-//!    true `wce` of every roster design: at 8×8 in `--quick` mode
-//!    (where the proof must *equal* the exhaustive sweep, bit for
-//!    bit), at 16×16 and 32×32 in full mode (where no sweep exists and
-//!    the proof *is* the truth). Every proven value must sit inside
-//!    the abstract interpreter's `[wce_lb, wce_ub]` bracket — the
-//!    `bounds_certified` gate certifies absint's soundness at widths
-//!    `repro absint` can only sample.
+//! 1. **Exact worst-case error** — the CDCL engine
+//!    [`axmul_sat::prove_wce_sat`] pins the true `wce` of every roster
+//!    design: at 8×8 in `--quick` mode (where the proof must *equal*
+//!    the exhaustive sweep, bit for bit), at 16×16 and 32×32 in full
+//!    mode (where no sweep exists and the proof *is* the truth). Every
+//!    proven value must sit inside the abstract interpreter's
+//!    `[wce_lb, wce_ub]` bracket — the `bounds_certified` gate
+//!    certifies absint's soundness at widths `repro absint` can only
+//!    sample. Each row also runs the dispatching
+//!    [`axmul_sat::prove_wce`], which sweeps the 8×8 designs
+//!    exhaustively; the `engines_agree` gate requires its wce to equal
+//!    the CDCL proof's and its witness to replay to it. Past the sweep
+//!    cutoff the dispatch *is* the CDCL proof, so it is not run twice.
 //! 2. **Equivalence** — export → import round trips must miter to
 //!    UNSAT (the interchange loop preserves *semantics*, not just
 //!    bytes), a renamed structural variant must be discharged by
@@ -28,8 +33,8 @@
 //! in seconds.
 //!
 //! `sat_json` renders the same measurements as the `BENCH_sat.json`
-//! artifact the CI gate greps for `"all_equiv": true` and
-//! `"bounds_certified": true`.
+//! artifact the CI gate greps for `"all_equiv": true`,
+//! `"bounds_certified": true` and `"engines_agree": true`.
 
 use axmul_absint::analyze_netlist;
 use axmul_baselines::{kulkarni_netlist, pp_truncated_netlist, rehman_netlist};
@@ -38,7 +43,10 @@ use axmul_dse::{static_bounds, Config};
 use axmul_fabric::export::to_verilog;
 use axmul_fabric::Netlist;
 use axmul_metrics::ErrorStats;
-use axmul_sat::{check_equiv, prove_wce, EquivOutcome, ProofOptions, WceOptions};
+use axmul_sat::{
+    check_equiv, prove_wce, prove_wce_sat, EquivOutcome, ProofOptions, WceEngine, WceOptions,
+    EXHAUSTIVE_MAX_BITS,
+};
 
 use crate::report::Table;
 
@@ -114,7 +122,15 @@ struct WceRow {
     witness: (u64, u64),
     ascent_steps: u32,
     conflicts: u64,
+    /// Wall time of the CDCL proof.
     elapsed_ms: f64,
+    /// The engine `prove_wce` dispatches this design to.
+    engine: WceEngine,
+    /// Wall time of the dispatching `prove_wce`.
+    engine_ms: f64,
+    /// The dispatched proof found the CDCL wce, and its witness
+    /// replays to it.
+    engines_agree: bool,
 }
 
 /// A structural roster design with its bracket from the generic
@@ -187,7 +203,8 @@ fn roster32() -> Vec<WceCase> {
     ]
 }
 
-/// Proves one case, comparing against exhaustive truth at ≤ 8 bits.
+/// Proves one case with CDCL, comparing against exhaustive truth at
+/// ≤ 8 bits, and with the dispatching `prove_wce`.
 fn prove_case(case: WceCase) -> WceRow {
     let bits = case
         .netlist
@@ -198,11 +215,20 @@ fn prove_case(case: WceCase) -> WceRow {
         hint: case.hint,
         ..WceOptions::default()
     };
-    let proof = prove_wce(&case.netlist, &opts).expect("roster proofs fit the conflict budget");
+    let proof = prove_wce_sat(&case.netlist, &opts).expect("roster proofs fit the conflict budget");
     let exact_match = (bits <= 8).then(|| {
         let stats = ErrorStats::exhaustive_wide(&case.netlist).expect("two-bus roster netlist");
         u128::from(stats.max_error.unsigned_abs()) == proof.wce
     });
+    let dispatched = if proof.a_bits + proof.b_bits <= EXHAUSTIVE_MAX_BITS {
+        prove_wce(&case.netlist, &opts).expect("sweepable roster designs prove")
+    } else {
+        proof.clone()
+    };
+    let (a, b) = dispatched.witness;
+    let replayed = case.netlist.eval(&[a, b]).expect("replay")[0];
+    let engines_agree = dispatched.wce == proof.wce
+        && u128::from(replayed).abs_diff(u128::from(a) * u128::from(b)) == proof.wce;
     WceRow {
         name: case.name,
         key: case.key,
@@ -216,6 +242,9 @@ fn prove_case(case: WceCase) -> WceRow {
         ascent_steps: proof.ascent_steps,
         conflicts: proof.stats.conflicts,
         elapsed_ms: proof.stats.elapsed_ms,
+        engine: dispatched.engine,
+        engine_ms: dispatched.stats.elapsed_ms,
+        engines_agree,
     }
 }
 
@@ -320,6 +349,11 @@ impl Measurements {
             .all(|r| r.certified && r.exact_match.unwrap_or(true))
     }
 
+    /// Every dispatched proof agrees with its CDCL proof.
+    fn engines_agree(&self) -> bool {
+        self.proofs.iter().all(|r| r.engines_agree)
+    }
+
     fn total_conflicts(&self) -> u64 {
         self.proofs.iter().map(|r| r.conflicts).sum()
     }
@@ -357,12 +391,14 @@ fn render(m: &Measurements) -> String {
             "absint [lb, ub]",
             "witness",
             "conflicts",
-            "time ms",
+            "sat ms",
+            "engine",
+            "engine ms",
             "verdict",
         ],
     );
     for r in &m.proofs {
-        let verdict = match (r.certified, r.exact_match) {
+        let verdict = match (r.certified && r.engines_agree, r.exact_match) {
             (true, Some(true)) => "certified+exact".to_string(),
             (true, None) => "certified".to_string(),
             _ => "REFUTED".to_string(),
@@ -375,6 +411,8 @@ fn render(m: &Measurements) -> String {
             format!("({:#x}, {:#x})", r.witness.0, r.witness.1),
             r.conflicts.to_string(),
             format!("{:.1}", r.elapsed_ms),
+            r.engine.to_string(),
+            format!("{:.1}", r.engine_ms),
             verdict,
         ]);
     }
@@ -409,12 +447,14 @@ fn render(m: &Measurements) -> String {
 
     out.push_str(&format!(
         "\n{} wce proofs: {} conflicts total (max {} on one design), {:.1} s solving\n\
+         engines agree: {}\n\
          sat verdict: {}\n",
         m.proofs.len(),
         m.total_conflicts(),
         m.max_conflicts(),
         m.total_solve_ms() / 1000.0,
-        if m.all_equiv() && m.bounds_certified() {
+        if m.engines_agree() { "yes" } else { "NO" },
+        if m.all_equiv() && m.bounds_certified() && m.engines_agree() {
             "CERTIFIED"
         } else {
             "REFUTED"
@@ -437,7 +477,7 @@ fn render_json(m: &Measurements, quick: bool) -> String {
             "    {{\"design\": \"{}\", \"key\": {}, \"bits\": {}, \"wce\": {}, \
              \"wce_lb\": {}, \"wce_ub\": {}, \"certified\": {}, \
              \"witness\": [{}, {}], \"ascent_steps\": {}, \"conflicts\": {}, \
-             \"elapsed_ms\": {:.1}}}{}\n",
+             \"elapsed_ms\": {:.1}, \"engine\": \"{}\", \"engine_ms\": {:.2}}}{}\n",
             r.name,
             key,
             r.bits,
@@ -450,6 +490,8 @@ fn render_json(m: &Measurements, quick: bool) -> String {
             r.ascent_steps,
             r.conflicts,
             r.elapsed_ms,
+            r.engine,
+            r.engine_ms,
             if i + 1 < m.proofs.len() { "," } else { "" },
         ));
     }
@@ -473,7 +515,8 @@ fn render_json(m: &Measurements, quick: bool) -> String {
         "  ],\n  \"designs_16x16\": {},\n  \"designs_32x32\": {},\n\
          \x20 \"total_conflicts\": {},\n  \"max_conflicts\": {},\n\
          \x20 \"total_solve_ms\": {:.1},\n\
-         \x20 \"all_equiv\": {},\n  \"bounds_certified\": {}\n}}\n",
+         \x20 \"all_equiv\": {},\n  \"bounds_certified\": {},\n\
+         \x20 \"engines_agree\": {}\n}}\n",
         designs_16,
         designs_32,
         m.total_conflicts(),
@@ -481,6 +524,7 @@ fn render_json(m: &Measurements, quick: bool) -> String {
         m.total_solve_ms(),
         m.all_equiv(),
         m.bounds_certified(),
+        m.engines_agree(),
     ));
     out
 }
@@ -516,7 +560,9 @@ mod tests {
         assert!(m.bounds_certified(), "a proof escaped its bracket");
         for r in &m.proofs {
             assert_eq!(r.exact_match, Some(true), "{} proof != sweep", r.name);
+            assert_eq!(r.engine, WceEngine::Exhaustive, "{} dispatch", r.name);
         }
+        assert!(m.engines_agree(), "dispatched proofs disagree with CDCL");
         let ca8 = m.proofs.iter().find(|r| r.name == "Ca 8x8").unwrap();
         assert_eq!(ca8.wce, 2312, "the paper's approx-Ca worst case");
         let report = render(&m);
@@ -531,6 +577,8 @@ mod tests {
         assert!(json.contains("\"bench\": \"sat\""));
         assert!(json.contains("\"all_equiv\": true"));
         assert!(json.contains("\"bounds_certified\": true"));
+        assert!(json.contains("\"engines_agree\": true"));
+        assert!(json.contains("\"engine\": \"exhaustive\""));
         assert!(json.contains("\"wce\": 2312"));
     }
 

@@ -239,8 +239,9 @@ fn usage() -> String {
      \x20             [--characterize] [--verify --config KEY] [--json] [-o FILE]\n\
      \x20                                          read a netlist back in\n\
      \x20 verify      --config KEY | --arch A [--bits N] [--json]\n\
-     \x20                                          SAT-prove the exact worst-case\n\
-     \x20                                          error vs the absint bracket\n\
+     \x20                                          prove the exact worst-case error\n\
+     \x20                                          (sweep <= 16 operand bits, else\n\
+     \x20                                          SAT) vs the absint bracket\n\
      \x20 verify      FILE [--against FILE2]       SAT equivalence of imported\n\
      \x20                                          netlists (alone: vs exact)\n"
         .to_string()
@@ -792,10 +793,11 @@ fn verify_imported(netlist: &axmul_fabric::Netlist, opts: &Opts) -> Result<Strin
     }
 }
 
-/// `verify --config KEY | --arch A [--bits N]`: SAT-proves the design's
-/// *exact* worst-case error and checks the proven value against the
-/// absint bracket — certifying the static analysis (or refuting it,
-/// which would be a soundness bug worth a hard failure).
+/// `verify --config KEY | --arch A [--bits N]`: proves the design's
+/// *exact* worst-case error (exhaustive sweep up to 16 operand bits,
+/// SAT past that) and checks the proven value against the absint
+/// bracket — certifying the static analysis (or refuting it, which
+/// would be a soundness bug worth a hard failure).
 fn verify(opts: &Opts) -> Result<String, CliError> {
     use axmul_sat::{prove_wce, WceOptions};
 
@@ -826,11 +828,12 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
     if opts.flag("json") {
         let (lb, ub) = bracket.map_or((0, u128::MAX), |(lb, ub, _)| (lb, ub));
         return Ok(format!(
-            "{{\"name\":\"{}\",\"a_bits\":{},\"b_bits\":{},\"wce\":{},\
+            "{{\"name\":\"{}\",\"engine\":\"{}\",\"a_bits\":{},\"b_bits\":{},\"wce\":{},\
              \"witness\":[{},{}],\"absint_lb\":{lb},\"absint_ub\":{ub},\
              \"contained\":{contained},\"ascent_steps\":{},\"solves\":{},\
              \"conflicts\":{},\"elapsed_ms\":{:.3}}}\n",
             name,
+            proof.engine,
             proof.a_bits,
             proof.b_bits,
             proof.wce,
@@ -843,9 +846,10 @@ fn verify(opts: &Opts) -> Result<String, CliError> {
         ));
     }
     let mut out = format!(
-        "SAT worst-case-error proof for {name} at {}x{}\n  \
+        "Exact worst-case-error proof (engine: {}) for {name} at {}x{}\n  \
          exact wce: {} (witness {} x {}, confirmed by replay)\n  \
          proof: {} solve(s), {} conflicts, {} ascent step(s), {:.1} ms\n",
+        proof.engine,
         proof.a_bits,
         proof.b_bits,
         proof.wce,
@@ -1359,6 +1363,10 @@ mod tests {
         // absint pins (a A A A A) to exactly [2312, 2312]; the SAT
         // proof must land on the same number and certify it.
         let out = run_str(&["verify", "--config", "(a A A A A)"]).unwrap();
+        assert!(
+            out.contains("Exact worst-case-error proof (engine: exhaustive)"),
+            "{out}"
+        );
         assert!(out.contains("exact wce: 2312"), "{out}");
         assert!(out.contains("CERTIFIED"), "{out}");
     }
@@ -1366,6 +1374,7 @@ mod tests {
     #[test]
     fn verify_arch_json_has_machine_fields() {
         let out = run_str(&["verify", "--arch", "k", "--bits", "4", "--json"]).unwrap();
+        assert!(out.contains("\"engine\":\"exhaustive\""), "{out}");
         assert!(out.contains("\"wce\":"), "{out}");
         assert!(out.contains("\"contained\":true"), "{out}");
         assert!(out.contains("\"witness\":"), "{out}");

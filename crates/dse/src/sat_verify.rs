@@ -1,4 +1,4 @@
-//! SAT spot-check of the bound-guided pruning screen.
+//! Exact-proof spot-check of the bound-guided pruning screen.
 //!
 //! Constraint pruning ([`crate::PruneOptions::max_wce`]) discards a
 //! candidate when absint's *lower* bound on its worst-case error
@@ -6,9 +6,10 @@
 //! lower bound really is a lower bound — a property absint proves on
 //! paper and `repro absint` checks exhaustively at 8×8, but which no
 //! exhaustive truth can confirm at 16×16 and beyond. This module
-//! closes that gap with SAT: it samples the screen's discard and keep
-//! decisions, has [`axmul_sat::prove_wce`] pin each sampled design's
-//! *exact* worst-case error, and confirms that
+//! closes that gap with exact proofs: it samples the screen's discard
+//! and keep decisions, has [`axmul_sat::prove_wce`] pin each sampled
+//! design's *exact* worst-case error (by exhaustive sweep at 8×8, by
+//! SAT at 16×16 and beyond), and confirms that
 //!
 //! * every sampled discarded design's proven error really exceeds the
 //!   budget (the screen never threw away a qualifying design), and
@@ -18,7 +19,7 @@
 //! Sampling is deterministic (evenly-strided over each partition), so
 //! a spot-check is reproducible run to run.
 
-use axmul_sat::{prove_wce, SatError, WceOptions};
+use axmul_sat::{prove_wce, SatError, WceEngine, WceOptions};
 
 use crate::bounds::static_bounds;
 use crate::config::Config;
@@ -32,8 +33,11 @@ pub struct SpotCheck {
     pub wce_lb: u128,
     /// Absint's sound upper bound.
     pub wce_ub: u128,
-    /// The exact worst-case error, SAT-proven.
+    /// The exact worst-case error, proven by `engine`.
     pub proven_wce: u128,
+    /// The engine that proved `proven_wce`: an exhaustive sweep up to
+    /// 16 operand bits, SAT past that.
+    pub engine: WceEngine,
     /// Operand pair attaining `proven_wce` (replay-confirmed).
     pub witness: (u64, u64),
     /// Whether the constraint screen would discard this design.
@@ -43,7 +47,7 @@ pub struct SpotCheck {
     pub discard_justified: bool,
     /// `wce_lb ≤ proven_wce ≤ wce_ub`.
     pub in_bracket: bool,
-    /// Solver conflicts spent on the proof.
+    /// Solver conflicts spent on the proof (0 for exhaustive proofs).
     pub conflicts: u64,
     /// Wall-clock time of the proof in milliseconds.
     pub elapsed_ms: f64,
@@ -77,7 +81,7 @@ impl SatVerifyReport {
 /// worst-case-error `budget`: partitions the candidates exactly as
 /// [`crate::PruneOptions::max_wce`] would, samples up to `samples`
 /// designs from each partition (evenly strided, deterministic), and
-/// SAT-proves each sample's exact worst-case error. Candidates the
+/// proves each sample's exact worst-case error. Candidates the
 /// abstract interpreter cannot bound are kept by the screen and
 /// skipped here, mirroring the search's own behavior.
 ///
@@ -129,6 +133,7 @@ pub fn sat_verify(
                 wce_lb,
                 wce_ub,
                 proven_wce: proof.wce,
+                engine: proof.engine,
                 witness: proof.witness,
                 discarded: was_discarded,
                 discard_justified: !was_discarded || proof.wce > budget,
@@ -199,6 +204,10 @@ mod tests {
             .unwrap();
         assert!(paper.discarded && paper.discard_justified);
         assert_eq!(paper.proven_wce, 2312);
+        assert!(report
+            .checks
+            .iter()
+            .all(|c| c.engine == WceEngine::Exhaustive));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   input variables, with counterexamples replayed through
 //!   `Netlist::eval` for independent confirmation and cube-and-conquer
 //!   case-splitting when a budget runs dry.
-//! * [`wce`] — exact worst-case-error proofs: `|approx − exact| > m`
+//! * [`wce`] — exact worst-case-error proofs: an exhaustive sweep up
+//!   to 16 operand bits, and past that `|approx − exact| > m`
 //!   comparator miters driven by a CEGAR ascent whose final UNSAT
 //!   answer *is* the certificate `wce = m`.
 //! * [`oracle`] — an incremental per-netlist constant oracle for
@@ -49,7 +50,7 @@ pub use equiv::{
 pub use gates::Sig;
 pub use oracle::NetOracle;
 pub use solver::{Lit, Model, SolveResult, Solver, SolverStats};
-pub use wce::{prove_wce, WceOptions, WceProof};
+pub use wce::{prove_wce, prove_wce_sat, WceEngine, WceOptions, WceProof, EXHAUSTIVE_MAX_BITS};
 
 /// Typed error taxonomy: every failure mode of parsing, encoding and
 /// proving is a variant, and no public entry point panics on hostile

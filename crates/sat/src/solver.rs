@@ -8,6 +8,13 @@
 //! assumptions with a conflict budget (exceeding it returns
 //! [`SolveResult::Unknown`], never a wrong answer).
 //!
+//! Clauses live in one flat `u32` arena rather than one heap
+//! allocation each. A clause at offset `c` is laid out as
+//! `[len << 1 | learned, activity lo, activity hi, lits…]` (the
+//! activity is an `f64` split into its two bit halves), and watch
+//! lists and reasons refer to clauses by that offset, so propagation
+//! reads a clause's header and literals from one contiguous run.
+//!
 //! Variable 0 is reserved as the constant `true` (pinned by a unit
 //! clause at construction), so encoders can hand out literals for
 //! constants without special cases. The solver never panics on any
@@ -113,6 +120,8 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Learned clauses currently in the database.
     pub learned: u64,
+    /// Learned-clause database reductions (arena compactions).
+    pub reductions: u64,
     /// `solve` calls answered.
     pub solves: u64,
 }
@@ -132,16 +141,14 @@ pub enum GateKey {
 
 #[derive(Debug, Clone, Copy)]
 struct Watch {
+    /// Arena offset of the watched clause.
     clause: u32,
     blocker: Lit,
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learned: bool,
-    activity: f64,
-}
+/// Arena words ahead of a clause's literals: the `len << 1 | learned`
+/// word and the two halves of the activity.
+const HEADER: usize = 3;
 
 const NO_REASON: u32 = u32::MAX;
 const VALUE_UNDEF: i8 = 0;
@@ -149,9 +156,12 @@ const VALUE_UNDEF: i8 = 0;
 /// The CDCL solver. See the [module docs](self) for the feature set.
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause of length ≥ 2, back to back (see the module docs).
+    arena: Vec<u32>,
     watches: Vec<Vec<Watch>>,
-    assigns: Vec<i8>,
+    /// Value of every literal, indexed by [`Lit::code`]: 1 true, -1
+    /// false, 0 unassigned.
+    values: Vec<i8>,
     level: Vec<u32>,
     reason: Vec<u32>,
     trail: Vec<Lit>,
@@ -166,6 +176,8 @@ pub struct Solver {
     ok: bool,
     stats: SolverStats,
     learned_cap: u64,
+    /// Conflicts per Luby unit between restarts.
+    restart_base: u64,
     cache: HashMap<GateKey, Lit>,
 }
 
@@ -180,9 +192,9 @@ impl Solver {
     #[must_use]
     pub fn new() -> Self {
         let mut s = Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -197,6 +209,7 @@ impl Solver {
             ok: true,
             stats: SolverStats::default(),
             learned_cap: 20_000,
+            restart_base: 128,
             cache: HashMap::new(),
         };
         let t = s.new_var();
@@ -219,7 +232,7 @@ impl Solver {
     /// Number of variables (including the reserved constant).
     #[must_use]
     pub fn num_vars(&self) -> u32 {
-        self.assigns.len() as u32
+        (self.values.len() / 2) as u32
     }
 
     /// Cumulative statistics.
@@ -241,8 +254,8 @@ impl Solver {
 
     /// Creates a fresh variable and returns its positive literal.
     pub fn new_var(&mut self) -> Lit {
-        let v = self.assigns.len() as u32;
-        self.assigns.push(VALUE_UNDEF);
+        let v = self.num_vars();
+        self.values.extend([VALUE_UNDEF; 2]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -255,12 +268,7 @@ impl Solver {
     }
 
     fn value_lit(&self, l: Lit) -> i8 {
-        let v = self.assigns[l.var() as usize];
-        if l.is_neg() {
-            -v
-        } else {
-            v
-        }
+        self.values[l.code()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -307,28 +315,61 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[c[0].code()].push(Watch {
-                    clause: idx,
-                    blocker: c[1],
-                });
-                self.watches[c[1].code()].push(Watch {
-                    clause: idx,
-                    blocker: c[0],
-                });
-                self.clauses.push(Clause {
-                    lits: c,
-                    learned: false,
-                    activity: 0.0,
-                });
+                self.push_clause(&c, false, 0.0);
             }
         }
     }
 
+    /// Appends a clause of at least two literals to the arena and
+    /// watches its first two literals; returns its offset.
+    fn push_clause(&mut self, lits: &[Lit], learned: bool, activity: f64) -> u32 {
+        let c = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&c| c != NO_REASON)
+            .expect("clause arena exceeds 2^32 words");
+        let bits = activity.to_bits();
+        self.arena.push(
+            u32::try_from(lits.len() << 1).expect("clause length fits the header")
+                | u32::from(learned),
+        );
+        self.arena.push(bits as u32);
+        self.arena.push((bits >> 32) as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.watches[lits[0].code()].push(Watch {
+            clause: c,
+            blocker: lits[1],
+        });
+        self.watches[lits[1].code()].push(Watch {
+            clause: c,
+            blocker: lits[0],
+        });
+        c
+    }
+
+    /// Literal count of the clause at offset `c`.
+    fn clause_len(&self, c: usize) -> usize {
+        (self.arena[c] >> 1) as usize
+    }
+
+    fn is_learned(&self, c: usize) -> bool {
+        self.arena[c] & 1 == 1
+    }
+
+    fn clause_activity(&self, c: usize) -> f64 {
+        f64::from_bits(u64::from(self.arena[c + 1]) | u64::from(self.arena[c + 2]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, c: usize, activity: f64) {
+        let bits = activity.to_bits();
+        self.arena[c + 1] = bits as u32;
+        self.arena[c + 2] = (bits >> 32) as u32;
+    }
+
     fn enqueue(&mut self, l: Lit, reason: u32) {
         let v = l.var() as usize;
-        debug_assert_eq!(self.assigns[v], VALUE_UNDEF);
-        self.assigns[v] = if l.is_neg() { -1 } else { 1 };
+        debug_assert_eq!(self.values[l.code()], VALUE_UNDEF);
+        self.values[l.code()] = 1;
+        self.values[(!l).code()] = -1;
         self.phase[v] = !l.is_neg();
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
@@ -350,12 +391,12 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let lits = w.clause as usize + HEADER;
+                if self.arena[lits] == false_lit.0 {
+                    self.arena.swap(lits, lits + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.arena[lits + 1], false_lit.0);
+                let first = Lit(self.arena[lits]);
                 if first != w.blocker && self.value_lit(first) == 1 {
                     ws[i] = Watch {
                         clause: w.clause,
@@ -364,11 +405,11 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci].lits[k];
+                let end = lits + self.clause_len(w.clause as usize);
+                for k in lits + 2..end {
+                    let lk = Lit(self.arena[k]);
                     if self.value_lit(lk) != -1 {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.arena.swap(lits + 1, k);
                         self.watches[lk.code()].push(Watch {
                             clause: w.clause,
                             blocker: first,
@@ -397,7 +438,8 @@ impl Solver {
             while self.trail.len() > bound {
                 let l = self.trail.pop().expect("non-empty trail");
                 let v = l.var() as usize;
-                self.assigns[v] = VALUE_UNDEF;
+                self.values[l.code()] = VALUE_UNDEF;
+                self.values[(!l).code()] = VALUE_UNDEF;
                 self.reason[v] = NO_REASON;
                 self.heap.insert(v as u32, &self.activity);
             }
@@ -417,12 +459,14 @@ impl Solver {
         self.heap.update(v, &self.activity);
     }
 
-    fn clause_bump(&mut self, ci: usize) {
-        let c = &mut self.clauses[ci];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
+    fn clause_bump(&mut self, c: usize) {
+        let activity = self.clause_activity(c) + self.cla_inc;
+        self.set_clause_activity(c, activity);
+        if activity > 1e20 {
+            let mut k = 0;
+            while k < self.arena.len() {
+                self.set_clause_activity(k, self.clause_activity(k) * 1e-20);
+                k += HEADER + self.clause_len(k);
             }
             self.cla_inc *= 1e-20;
         }
@@ -438,13 +482,13 @@ impl Solver {
         let mut index = self.trail.len();
         let mut confl = conflict;
         loop {
-            if self.clauses[confl as usize].learned {
-                self.clause_bump(confl as usize);
+            let c = confl as usize;
+            if self.is_learned(c) {
+                self.clause_bump(c);
             }
             let start = usize::from(p.is_some());
-            let clen = self.clauses[confl as usize].lits.len();
-            for j in start..clen {
-                let q = self.clauses[confl as usize].lits[j];
+            for j in start..self.clause_len(c) {
+                let q = Lit(self.arena[c + HEADER + j]);
                 let v = q.var();
                 if !self.seen[v as usize] && self.level[v as usize] > 0 {
                     self.var_bump(v);
@@ -509,11 +553,13 @@ impl Solver {
         if r == NO_REASON {
             return false;
         }
-        self.clauses[r as usize]
-            .lits
+        let lits = r as usize + HEADER;
+        self.arena[lits + 1..lits + self.clause_len(r as usize)]
             .iter()
-            .skip(1)
-            .all(|&l| self.seen[l.var() as usize] || self.level[l.var() as usize] == 0)
+            .all(|&l| {
+                let v = Lit(l).var() as usize;
+                self.seen[v] || self.level[v] == 0
+            })
     }
 
     fn learn(&mut self, learnt: Vec<Lit>) {
@@ -524,20 +570,7 @@ impl Solver {
                 self.enqueue(assert_lit, NO_REASON);
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[learnt[0].code()].push(Watch {
-                    clause: idx,
-                    blocker: learnt[1],
-                });
-                self.watches[learnt[1].code()].push(Watch {
-                    clause: idx,
-                    blocker: learnt[0],
-                });
-                self.clauses.push(Clause {
-                    lits: learnt,
-                    learned: true,
-                    activity: self.cla_inc,
-                });
+                let idx = self.push_clause(&learnt, true, self.cla_inc);
                 self.stats.learned += 1;
                 self.enqueue(assert_lit, idx);
             }
@@ -546,33 +579,42 @@ impl Solver {
         self.cla_inc /= 0.999;
     }
 
-    /// Drops the least active half of the learned clauses. Only runs at
-    /// decision level 0, where no learned clause can be a reason.
+    /// Drops the least active half of the learned clauses, compacting
+    /// the arena in place with the survivors in their original order.
+    /// Only runs at decision level 0, where no learned clause can be a
+    /// reason.
     fn reduce_db(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         for &l in &self.trail {
             self.reason[l.var() as usize] = NO_REASON;
         }
-        let mut acts: Vec<f64> = self
-            .clauses
-            .iter()
-            .filter(|c| c.learned && c.lits.len() > 2)
-            .map(|c| c.activity)
-            .collect();
+        let mut acts: Vec<f64> = Vec::new();
+        let mut c = 0;
+        while c < self.arena.len() {
+            if self.is_learned(c) && self.clause_len(c) > 2 {
+                acts.push(self.clause_activity(c));
+            }
+            c += HEADER + self.clause_len(c);
+        }
         if acts.is_empty() {
             return;
         }
         acts.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let median = acts[acts.len() / 2];
-        let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len());
-        for c in self.clauses.drain(..) {
-            if c.learned && c.lits.len() > 2 && c.activity < median {
-                continue;
+        let (mut read, mut write, mut learned) = (0, 0, 0u64);
+        while read < self.arena.len() {
+            let size = HEADER + self.clause_len(read);
+            let is_learned = self.is_learned(read);
+            if !(is_learned && size > HEADER + 2 && self.clause_activity(read) < median) {
+                self.arena.copy_within(read..read + size, write);
+                write += size;
+                learned += u64::from(is_learned);
             }
-            kept.push(c);
+            read += size;
         }
-        self.clauses = kept;
-        self.stats.learned = self.clauses.iter().filter(|c| c.learned).count() as u64;
+        self.arena.truncate(write);
+        self.stats.learned = learned;
+        self.stats.reductions += 1;
         self.rebuild_watches();
     }
 
@@ -582,53 +624,38 @@ impl Solver {
             w.clear();
         }
         let mut units: Vec<Lit> = Vec::new();
-        for (idx, c) in self.clauses.iter_mut().enumerate() {
+        let mut c = 0;
+        while c < self.arena.len() {
+            let lits = c + HEADER;
+            let len = self.clause_len(c);
             // Prefer watching non-false literals.
             let mut front = 0;
-            for k in 0..c.lits.len() {
-                let v = {
-                    let l = c.lits[k];
-                    let a = self.assigns[l.var() as usize];
-                    if l.is_neg() {
-                        -a
-                    } else {
-                        a
-                    }
-                };
-                if v != -1 {
-                    c.lits.swap(front, k);
+            for k in 0..len {
+                if self.value_lit(Lit(self.arena[lits + k])) != -1 {
+                    self.arena.swap(lits + front, lits + k);
                     front += 1;
                     if front == 2 {
                         break;
                     }
                 }
             }
+            let (l0, l1) = (Lit(self.arena[lits]), Lit(self.arena[lits + 1]));
             if front == 1 {
-                let v0 = {
-                    let l = c.lits[0];
-                    let a = self.assigns[l.var() as usize];
-                    if l.is_neg() {
-                        -a
-                    } else {
-                        a
-                    }
-                };
-                if v0 == 0 {
-                    units.push(c.lits[0]);
+                if self.value_lit(l0) == 0 {
+                    units.push(l0);
                 }
             } else if front == 0 {
                 self.ok = false;
             }
-            self.watches[c.lits[0].code()].push(Watch {
-                clause: idx as u32,
-                blocker: c.lits[1 % c.lits.len().max(1)],
+            self.watches[l0.code()].push(Watch {
+                clause: c as u32,
+                blocker: l1,
             });
-            if c.lits.len() > 1 {
-                self.watches[c.lits[1].code()].push(Watch {
-                    clause: idx as u32,
-                    blocker: c.lits[0],
-                });
-            }
+            self.watches[l1.code()].push(Watch {
+                clause: c as u32,
+                blocker: l0,
+            });
+            c = lits + len;
         }
         for u in units {
             if self.value_lit(u) == 0 {
@@ -660,10 +687,11 @@ impl Solver {
         let mut restart_idx = 0u64;
         loop {
             restart_idx += 1;
-            let restart_budget = 128 * luby(restart_idx);
+            let restart_budget = self.restart_base * luby(restart_idx);
             match self.search(assumptions, restart_budget, budget_end) {
                 SearchOutcome::Sat => {
-                    let values: Vec<bool> = self.assigns.iter().map(|&a| a == 1).collect();
+                    let values: Vec<bool> =
+                        self.values.iter().step_by(2).map(|&a| a == 1).collect();
                     self.backtrack(0);
                     return SolveResult::Sat(Model { values });
                 }
@@ -681,6 +709,12 @@ impl Solver {
                     if self.stats.learned > self.learned_cap {
                         self.reduce_db();
                         self.learned_cap += self.learned_cap / 2;
+                        // The rebuild propagates level-0 units the last
+                        // search learned but never propagated; a
+                        // conflict there refutes the instance.
+                        if !self.ok {
+                            return SolveResult::Unsat;
+                        }
                     }
                 }
             }
@@ -739,7 +773,7 @@ impl Solver {
             let next = loop {
                 match self.heap.pop_max(&self.activity) {
                     Some(v) => {
-                        if self.assigns[v as usize] == VALUE_UNDEF {
+                        if self.values[2 * v as usize] == VALUE_UNDEF {
                             break Some(v);
                         }
                     }
@@ -1010,6 +1044,131 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A solver that restarts after every Luby unit of conflicts and
+    /// reduces its learned clauses at every restart that has more than
+    /// one, so arena compaction and watch rebuilds run constantly.
+    fn stressed() -> Solver {
+        let mut s = Solver::new();
+        s.learned_cap = 1;
+        s.restart_base = 1;
+        s
+    }
+
+    /// Whether some assignment of variables `1..=nv` satisfies every
+    /// clause.
+    fn brute_force_sat(cls: &[Vec<Lit>], nv: usize) -> bool {
+        (0..1u32 << nv).any(|bits| {
+            cls.iter().all(|c| {
+                c.iter()
+                    .any(|&l| (bits >> (l.var() - 1) & 1 == 1) != l.is_neg())
+            })
+        })
+    }
+
+    /// A stressed solver loaded with `cls` over variables `1..=nv`.
+    fn stressed_with(cls: &[Vec<Lit>], nv: usize) -> Solver {
+        let mut s = stressed();
+        vars(&mut s, nv);
+        for c in cls {
+            s.add_clause(c);
+        }
+        s
+    }
+
+    /// Solves under `assumptions` and checks the verdict against
+    /// `expect_sat`, or against brute force when it is `None`, and the
+    /// model against every clause and assumption.
+    fn check_verdict(
+        s: &mut Solver,
+        cls: &[Vec<Lit>],
+        nv: usize,
+        assumptions: &[Lit],
+        expect_sat: Option<bool>,
+    ) {
+        let expected = expect_sat.unwrap_or_else(|| {
+            let mut pinned = cls.to_vec();
+            pinned.extend(assumptions.iter().map(|&a| vec![a]));
+            brute_force_sat(&pinned, nv)
+        });
+        match s.solve(assumptions, u64::MAX) {
+            SolveResult::Sat(m) => {
+                for c in cls {
+                    assert!(c.iter().any(|&l| m.value(l)), "model violates clause {c:?}");
+                }
+                assert!(
+                    assumptions.iter().all(|&a| m.value(a)),
+                    "model drops an assumption"
+                );
+                assert!(expected, "SAT verdict on an unsatisfiable instance");
+            }
+            SolveResult::Unsat => assert!(!expected, "UNSAT verdict on a satisfiable instance"),
+            SolveResult::Unknown => panic!("unbounded solve returned Unknown"),
+        }
+    }
+
+    /// Pigeonhole clauses: `pigeons` pigeons, `holes` holes, variable
+    /// `1 + i * holes + j` = pigeon `i` sits in hole `j`.
+    fn pigeonhole(pigeons: usize, holes: usize) -> Vec<Vec<Lit>> {
+        let p = |i: usize, j: usize| Lit::new((1 + i * holes + j) as u32, false);
+        let mut cls: Vec<Vec<Lit>> = (0..pigeons)
+            .map(|i| (0..holes).map(|j| p(i, j)).collect())
+            .collect();
+        for j in 0..holes {
+            for i in 0..pigeons {
+                for k in (i + 1)..pigeons {
+                    cls.push(vec![!p(i, j), !p(k, j)]);
+                }
+            }
+        }
+        cls
+    }
+
+    #[test]
+    fn arena_compaction_stress_keeps_verdicts_exact() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut reductions = 0;
+        // Random 3-SAT from 6 to 12 variables at clause/variable
+        // ratios 3.5–6.4, straddling the satisfiability threshold;
+        // each instance is then re-solved under random assumptions,
+        // so later solves run on a compacted arena.
+        for round in 0..300 {
+            let nv = 6 + round % 7;
+            let nc = nv * (35 + round % 30) / 10;
+            let mut lit = || Lit::new(1 + (next() % nv as u64) as u32, next() & 1 == 1);
+            let cls: Vec<Vec<Lit>> = (0..nc).map(|_| (0..3).map(|_| lit()).collect()).collect();
+            let mut s = stressed_with(&cls, nv);
+            check_verdict(&mut s, &cls, nv, &[], None);
+            for _ in 0..4 {
+                let assumptions = [lit(), lit()];
+                check_verdict(&mut s, &cls, nv, &assumptions, None);
+            }
+            reductions += s.stats().reductions;
+        }
+        assert!(
+            reductions >= 40,
+            "only {reductions} reductions on random 3-SAT: compaction barely ran"
+        );
+        // Pigeonholes: brute force up to 12 variables, known verdicts
+        // past it.
+        for (pigeons, holes) in [(3, 3), (4, 3), (3, 4), (4, 4), (5, 4), (6, 5), (5, 5)] {
+            let (cls, nv) = (pigeonhole(pigeons, holes), pigeons * holes);
+            let expect_sat = (nv > 12).then_some(pigeons <= holes);
+            let mut s = stressed_with(&cls, nv);
+            check_verdict(&mut s, &cls, nv, &[], expect_sat);
+            reductions += s.stats().reductions;
+        }
+        assert!(
+            reductions >= 200,
+            "only {reductions} reductions in all: compaction barely ran"
+        );
     }
 
     #[test]

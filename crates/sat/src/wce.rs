@@ -1,5 +1,17 @@
 //! Exact worst-case-error proofs: `wce = max |approx(a,b) − a·b|`.
 //!
+//! [`prove_wce`] picks the engine by the size of the operand space:
+//!
+//! * Up to [`EXHAUSTIVE_MAX_BITS`] combined operand bits, the
+//!   **exhaustive** engine sweeps every operand pair on the compiled
+//!   simulator, keeps the first pair (in sweep order) that reaches the
+//!   maximum, and replays it through `Netlist::eval`. At 8×8 that is
+//!   65 536 pairs and about a millisecond.
+//! * Wider designs go to the **SAT** engine, [`prove_wce_sat`], below.
+//!
+//! The two engines must agree bit for bit on the wce; the
+//! differential test in `tests/fuzz.rs` holds them to it.
+//!
 //! The netlist and a CNF ripple shift-add exact reference share one
 //! set of input variables; `|P − E|` is built as a two's-complement
 //! difference plus conditional negation, and a comparator asks
@@ -18,6 +30,7 @@
 
 use std::time::Instant;
 
+use axmul_fabric::compile::CompiledNetlist;
 use axmul_fabric::Netlist;
 
 use crate::equiv::{multiplier_interface, solve_with_split, split_order, ProofOptions, ProofStats};
@@ -25,7 +38,13 @@ use crate::gates::{self, Sig};
 use crate::solver::Solver;
 use crate::SatError;
 
-/// Knobs for the worst-case-error proof.
+/// Designs with at most this many combined operand bits (`wa + wb`)
+/// are proven by the exhaustive engine; wider ones by CDCL.
+pub const EXHAUSTIVE_MAX_BITS: u32 = 16;
+
+/// Knobs for the SAT engine's worst-case-error proof. The exhaustive
+/// engine takes none of them: it has no budget to exhaust, and it
+/// visits every input, so it needs neither seed samples nor a hint.
 #[derive(Debug, Clone, Copy)]
 pub struct WceOptions {
     /// Solver budget/splitting knobs.
@@ -47,9 +66,29 @@ impl Default for WceOptions {
     }
 }
 
+/// The engine that produced a [`WceProof`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WceEngine {
+    /// Every operand pair evaluated on the compiled simulator.
+    Exhaustive,
+    /// CEGAR ascent on the CDCL solver, closed by an UNSAT certificate.
+    Sat,
+}
+
+impl std::fmt::Display for WceEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            WceEngine::Exhaustive => "exhaustive",
+            WceEngine::Sat => "sat",
+        })
+    }
+}
+
 /// A proven exact worst-case error.
 #[derive(Debug, Clone)]
 pub struct WceProof {
+    /// The engine that proved it.
+    pub engine: WceEngine,
     /// Operand widths.
     pub a_bits: u32,
     /// Operand widths.
@@ -58,13 +97,79 @@ pub struct WceProof {
     pub wce: u128,
     /// An input pair achieving it (confirmed by replay).
     pub witness: (u64, u64),
-    /// How many SAT models raised the bound past its seed.
+    /// How many SAT models raised the bound past its seed (0 for the
+    /// exhaustive engine).
     pub ascent_steps: u32,
-    /// Search effort (the final UNSAT proof included).
+    /// Search effort (the final UNSAT proof included). The exhaustive
+    /// engine reports zero solves, conflicts, decisions and
+    /// propagations, and only its wall time.
     pub stats: ProofStats,
 }
 
-/// Proves the exact worst-case error of a multiplier netlist.
+/// `|netlist(a, b) − a·b|`, evaluated by the reference interpreter.
+fn replay_error(netlist: &Netlist, a: u64, b: u64) -> Result<u128, SatError> {
+    let out = netlist
+        .eval(&[a, b])
+        .map_err(|e| SatError::Replay(e.to_string()))?;
+    Ok(u128::from(out[0]).abs_diff(u128::from(a) * u128::from(b)))
+}
+
+/// Proves the exact worst-case error of a multiplier netlist, by
+/// exhaustive sweep when `wa + wb ≤` [`EXHAUSTIVE_MAX_BITS`] and by
+/// [`prove_wce_sat`] otherwise. `opts` only applies to the SAT engine.
+///
+/// # Errors
+///
+/// [`SatError::Interface`]/[`SatError::Width`] for non-multiplier
+/// shapes, [`SatError::Replay`] if the witness fails to replay
+/// (soundness self-check), and the SAT engine's errors for wide
+/// designs.
+pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatError> {
+    let (wa, wb) = multiplier_interface(netlist)?;
+    if wa + wb <= EXHAUSTIVE_MAX_BITS {
+        prove_wce_exhaustive(netlist, wa, wb)
+    } else {
+        prove_wce_sat(netlist, opts)
+    }
+}
+
+/// The exhaustive engine: every operand pair on the compiled simulator.
+fn prove_wce_exhaustive(netlist: &Netlist, wa: u32, wb: u32) -> Result<WceProof, SatError> {
+    let started = Instant::now();
+    let mut wce = 0u128;
+    let mut witness = (0u64, 0u64);
+    CompiledNetlist::compile(netlist)
+        .for_each_operand_pair_in(0..1u64 << (wa + wb), |a, b, out| {
+            let e = u128::from(out[0]).abs_diff(u128::from(a) * u128::from(b));
+            if e > wce {
+                wce = e;
+                witness = (a, b);
+            }
+        })
+        .map_err(|e| SatError::Replay(e.to_string()))?;
+    let (a, b) = witness;
+    let replayed = replay_error(netlist, a, b)?;
+    if replayed != wce {
+        return Err(SatError::Replay(format!(
+            "sweep maximum {wce} at ({a}, {b}) replays to {replayed}"
+        )));
+    }
+    Ok(WceProof {
+        engine: WceEngine::Exhaustive,
+        a_bits: wa,
+        b_bits: wb,
+        wce,
+        witness,
+        ascent_steps: 0,
+        stats: ProofStats {
+            elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
+            ..ProofStats::default()
+        },
+    })
+}
+
+/// Proves the exact worst-case error with the SAT engine (CEGAR
+/// ascent on CDCL, see the module docs), at any width.
 ///
 /// # Errors
 ///
@@ -72,18 +177,11 @@ pub struct WceProof {
 /// shapes, [`SatError::Budget`] if the refutation defeats the budget
 /// even after case-splitting, [`SatError::Replay`] if a model fails to
 /// replay (soundness self-check).
-pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatError> {
+pub fn prove_wce_sat(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatError> {
     let (wa, wb) = multiplier_interface(netlist)?;
     let started = Instant::now();
 
-    let err_at = |a: u64, b: u64| -> Result<u128, SatError> {
-        let out = netlist
-            .eval(&[a, b])
-            .map_err(|e| SatError::Replay(e.to_string()))?;
-        let p = out[0] as u128;
-        let e = (a as u128) * (b as u128);
-        Ok(p.abs_diff(e))
-    };
+    let err_at = |a: u64, b: u64| replay_error(netlist, a, b);
 
     // Seed the lower bound from deterministic corners, a splitmix
     // stream, and the caller's hint.
@@ -181,6 +279,7 @@ pub fn prove_wce(netlist: &Netlist, opts: &WceOptions) -> Result<WceProof, SatEr
 
     let after = solver.stats();
     Ok(WceProof {
+        engine: WceEngine::Sat,
         a_bits: wa,
         b_bits: wb,
         wce: m,
@@ -202,6 +301,7 @@ mod tests {
     use axmul_baselines::{
         array_mult_netlist, kulkarni_netlist, pp_truncated_netlist, rehman_netlist,
     };
+    use axmul_fabric::NetlistBuilder;
 
     /// Exhaustive ground-truth worst-case error.
     fn exhaustive_wce(nl: &Netlist, wa: u32, wb: u32) -> (u128, (u64, u64)) {
@@ -229,7 +329,7 @@ mod tests {
             array_mult_netlist(4, 4),
         ] {
             let (truth, _) = exhaustive_wce(&nl, 4, 4);
-            let proof = prove_wce(&nl, &WceOptions::default()).expect("provable");
+            let proof = prove_wce_sat(&nl, &WceOptions::default()).expect("provable");
             assert_eq!(proof.wce, truth, "{}", nl.name());
             // The witness must achieve the proven error.
             let (a, b) = proof.witness;
@@ -242,7 +342,7 @@ mod tests {
     fn proven_wce_matches_exhaustive_truth_at_8x8() {
         let nl = kulkarni_netlist(8).expect("width");
         let (truth, _) = exhaustive_wce(&nl, 8, 8);
-        let proof = prove_wce(&nl, &WceOptions::default()).expect("provable");
+        let proof = prove_wce_sat(&nl, &WceOptions::default()).expect("provable");
         assert_eq!(proof.wce, truth);
         assert!(
             proof.stats.solves >= 1,
@@ -251,9 +351,36 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_sweeps_exactly_up_to_sixteen_operand_bits() {
+        // 8×8 = 16 bits: exhaustive, no solver involved.
+        let nl = kulkarni_netlist(8).expect("width");
+        let proof = prove_wce(&nl, &WceOptions::default()).expect("provable");
+        assert_eq!(proof.engine, WceEngine::Exhaustive);
+        assert_eq!((proof.stats.solves, proof.stats.conflicts), (0, 0));
+        assert_eq!(proof.ascent_steps, 0);
+        let sat = prove_wce_sat(&nl, &WceOptions::default()).expect("provable");
+        assert_eq!(proof.wce, sat.wce);
+        let (a, b) = proof.witness;
+        let p = nl.eval(&[a, b]).expect("eval")[0] as u128;
+        assert_eq!((a as u128 * b as u128).abs_diff(p), proof.wce);
+        // 16×1 = 17 bits: CDCL, with its UNSAT certificate. The
+        // design answers 0 everywhere, so wce = a·b at its maximum.
+        let mut b = NetlistBuilder::new("zero16x1");
+        b.inputs("a", 16);
+        b.inputs("b", 1);
+        let zero = b.constant(false);
+        b.output_bus("p", &[zero; 17]);
+        let nl = b.finish().expect("valid netlist");
+        let proof = prove_wce(&nl, &WceOptions::default()).expect("provable");
+        assert_eq!(proof.engine, WceEngine::Sat);
+        assert!(proof.stats.solves >= 1);
+        assert_eq!((proof.wce, proof.witness), (0xFFFF, (0xFFFF, 1)));
+    }
+
+    #[test]
     fn exact_multiplier_proves_zero_error() {
         let nl = array_mult_netlist(6, 6);
-        let proof = prove_wce(&nl, &WceOptions::default()).expect("provable");
+        let proof = prove_wce_sat(&nl, &WceOptions::default()).expect("provable");
         assert_eq!(proof.wce, 0);
         assert_eq!(proof.ascent_steps, 0);
     }
@@ -267,7 +394,7 @@ mod tests {
             samples: 0,
             ..WceOptions::default()
         };
-        let proof = prove_wce(&nl, &opts).expect("provable");
+        let proof = prove_wce_sat(&nl, &opts).expect("provable");
         assert_eq!(proof.wce, truth);
     }
 }

@@ -355,6 +355,10 @@ fn run_phase(
     let counter = |k: &str| cache.get(k).and_then(Value::as_u64).unwrap_or(0);
     let builds = counter("builds");
     let disk_hits = counter("disk_hits");
+    // A worker serves a connection until the client hangs up or the
+    // read timeout fires, and shutdown joins the workers: close the
+    // stats connection first or shutdown waits out the timeout.
+    drop(stats_client);
     handle.shutdown();
 
     let all: Vec<(usize, u64)> = samples.into_inner().expect("sample lock").concat();
@@ -527,6 +531,34 @@ pub fn smoke() -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::READ_TIMEOUT;
+
+    #[test]
+    fn phase_shuts_down_well_inside_the_read_timeout() {
+        let opts = LoadgenOptions {
+            roster: 2,
+            requests: 40,
+            connections: 2,
+            workers: 2,
+            seed: 7,
+        };
+        let keys: Vec<String> = roster(opts.roster, opts.seed)
+            .iter()
+            .map(Config::key)
+            .collect();
+        let cache_dir =
+            std::env::temp_dir().join(format!("axmul_phase_shutdown_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let started = Instant::now();
+        let phase = run_phase("cold", &cache_dir, &opts, &keys);
+        let elapsed = started.elapsed();
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        assert_eq!(phase.expect("phase runs").requests, 40);
+        assert!(
+            elapsed < READ_TIMEOUT / 2,
+            "phase took {elapsed:?}: shutdown waited on an open connection"
+        );
+    }
 
     #[test]
     fn roster_is_deterministic_and_deduplicated() {

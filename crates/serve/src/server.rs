@@ -34,7 +34,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Per-connection socket read timeout: an idle client is eventually
 /// dropped so it cannot pin a worker forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, Default)]

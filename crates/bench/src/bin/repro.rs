@@ -19,8 +19,9 @@
 //! `sim-bench` results to `BENCH_sim.json`, `serve-bench` results to
 //! `BENCH_serve.json`, `absint` results to `BENCH_absint.json`,
 //! `netio` results to `BENCH_netio.json`, `sat` results to
-//! `BENCH_sat.json` and `ext-dse` results (with
-//! the error/energy/STA wall-clock split) to `BENCH_extdse.json` in
+//! `BENCH_sat.json` and `ext-dse` results (with the error/energy/STA
+//! time split, summed across workers, and the peak RSS) to
+//! `BENCH_extdse.json` in
 //! the working directory. `--cache-dir DIR` routes `ext-dse` through
 //! the persistent characterization store rooted at `DIR`, so a second
 //! run warm-starts with zero recharacterizations.

@@ -69,10 +69,12 @@ pub fn ext_dse() -> String {
     s
 }
 
-/// [`ext_dse`] as a machine-readable JSON digest, including the
-/// wall-clock split of where the characterization time went (error
-/// sweeps vs energy measurements vs STA) so future optimization passes
-/// can see the hot path without re-profiling.
+/// [`ext_dse`] as a machine-readable JSON digest, including the split
+/// of where the characterization time went (error sweeps vs energy
+/// measurements vs STA; summed across worker threads, so not
+/// wall-clock at more than one worker) and the process's peak resident
+/// memory, so future optimization passes can see the hot path without
+/// re-profiling.
 #[must_use]
 pub fn ext_dse_json() -> String {
     let opts = DseOptions::exhaustive_8x8();
@@ -82,7 +84,7 @@ pub fn ext_dse_json() -> String {
         "{{\n  \"bench\": \"ext-dse\",\n  \"configs\": {},\n  \"elapsed_s\": {:.4},\n  \
          \"cand_per_s\": {:.1},\n  \"char_time_s\": {{\"error\": {:.4}, \"energy\": {:.4}, \
          \"sta\": {:.4}}},\n  \"cache\": {{\"hits\": {}, \"misses\": {}, \"builds\": {}}},\n  \
-         \"lut_front\": {},\n  \"edp_front\": {}\n}}\n",
+         \"lut_front\": {},\n  \"edp_front\": {},\n  \"peak_rss_mib\": {}\n}}\n",
         result.reports.len(),
         elapsed,
         result.reports.len() as f64 / elapsed.max(1e-9),
@@ -94,7 +96,23 @@ pub fn ext_dse_json() -> String {
         result.cache_builds,
         result.lut_front().len(),
         result.edp_front().len(),
+        peak_rss_mib().map_or("null".to_string(), |mib| format!("{mib:.1}")),
     )
+}
+
+/// Peak resident set size of this process in MiB (`VmHWM`), or `None`
+/// where `/proc/self/status` does not exist (outside Linux).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 /// **Extension: 8×8 DSE with a persistent store.** The same exhaustive

@@ -15,16 +15,20 @@
 //! halves (`AL·BL` and `AL·BH` both read `AL`), so their errors are
 //! *dependent* random variables: convolving per-quadrant error PMFs
 //! would be wrong (and under carry-free summation the quadrant errors
-//! do not even compose additively). The cache instead stores each
-//! sub-block's exhaustive **value table** (256 entries for a 4-bit
-//! block, 65 536 for 8-bit) and composes parent values exactly with
-//! [`axmul_core::behavioral::combine_products`]. Composed statistics
-//! are therefore *exact* — bit-identical to sweeping the assembled
-//! netlist — which the crate's property tests assert.
+//! do not even compose additively). The cache instead keeps each
+//! leaf's exhaustive **value table** (256 entries for a 4-bit block)
+//! and composes parent values exactly with
+//! [`axmul_core::behavioral::combine_products`]. An 8-bit quad's
+//! statistics are swept one composed operand row at a time, so its
+//! 65 536-entry table is built only when something evaluates the block
+//! ([`BlockChar::table`], [`BlockChar::multiplier`], or a 16-bit parent
+//! composing it). Composed statistics are *exact* — bit-identical to
+//! sweeping the assembled netlist — which the crate's property tests
+//! assert.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use axmul_core::behavioral::{combine_products, Summation};
@@ -60,18 +64,78 @@ pub struct BlockChar {
     pub cost: NetlistCost,
     /// Error statistics: exhaustive for widths ≤ 8 bits, sampled above.
     pub stats: ErrorStats,
-    /// Exhaustive value table (`table[(b << bits) | a]`) for widths
-    /// ≤ 8 bits; `None` above.
-    pub table: Option<Arc<Vec<u32>>>,
-    evaluator: ComposedMultiplier,
+    /// A leaf's value table, or the quad over its children's
+    /// evaluators.
+    node: EvalNode,
+    /// An 8-bit quad's value table, composed on first use.
+    quad_table: OnceLock<Arc<Vec<u32>>>,
 }
 
 impl BlockChar {
+    fn new(
+        key: &str,
+        bits: u32,
+        netlist: Netlist,
+        cost: NetlistCost,
+        stats: ErrorStats,
+        node: EvalNode,
+    ) -> Self {
+        BlockChar {
+            key: key.to_string(),
+            bits,
+            netlist: Arc::new(netlist),
+            cost,
+            stats,
+            node,
+            quad_table: OnceLock::new(),
+        }
+    }
+
     /// A cheap, exact behavioral evaluator of this block (value-table
-    /// lookups at ≤ 8 bits, recursive table composition above).
+    /// lookups at ≤ 8 bits, recursive table composition above). For an
+    /// 8-bit quad the first call builds its value table
+    /// ([`BlockChar::table`]).
     #[must_use]
     pub fn multiplier(&self) -> ComposedMultiplier {
-        self.evaluator.clone()
+        ComposedMultiplier {
+            bits: self.bits,
+            name: self.key.clone(),
+            node: self.eval_node(),
+        }
+    }
+
+    /// Exhaustive value table (`table[(b << bits) | a]`) for widths
+    /// ≤ 8 bits; `None` above. An 8-bit quad composes its table from
+    /// its leaf tables on the first call and keeps it.
+    #[must_use]
+    pub fn table(&self) -> Option<&Arc<Vec<u32>>> {
+        match &self.node {
+            EvalNode::Table { table, .. } => Some(table),
+            EvalNode::Quad { summation, m, sub } if self.bits <= 8 => {
+                Some(self.quad_table.get_or_init(|| {
+                    let leaves = leaf_tables(sub);
+                    let row_len = 1usize << self.bits;
+                    let mut table = vec![0u32; row_len * row_len];
+                    for (b, row) in table.chunks_exact_mut(row_len).enumerate() {
+                        compose_row(b, leaves, *m, *summation, row);
+                    }
+                    Arc::new(table)
+                }))
+            }
+            EvalNode::Quad { .. } => None,
+        }
+    }
+
+    /// The evaluator a parent composes this block through: its value
+    /// table at ≤ 8 bits (built here if need be), the quad above.
+    fn eval_node(&self) -> EvalNode {
+        match self.table() {
+            Some(table) => EvalNode::Table {
+                bits: self.bits,
+                table: Arc::clone(table),
+            },
+            None => self.node.clone(),
+        }
     }
 }
 
@@ -118,69 +182,59 @@ impl EvalNode {
     }
 }
 
-/// Exhaustive value table of a quad evaluator (`table[(b << bits) | a]`),
-/// shared by the build and restore paths so both produce bit-identical
-/// tables.
-fn flatten_quad(quad: &EvalNode, bits: u32) -> Vec<u32> {
-    let mut table = vec![0u32; 1usize << (2 * bits)];
-    for b in 0..=mask_for(bits) {
-        for a in 0..=mask_for(bits) {
-            table[((b as usize) << bits) | a as usize] = quad.eval(a, b) as u32;
-        }
-    }
-    table
+/// The four `m`-bit leaf tables an 8-bit quad composes (`LEAF_BITS`
+/// is 4, so an 8-bit quad's children are always leaves).
+fn leaf_tables(sub: &[EvalNode; 4]) -> [&[u32]; 4] {
+    sub.each_ref().map(|node| match node {
+        EvalNode::Table { table, .. } => table.as_slice(),
+        EvalNode::Quad { .. } => unreachable!("an 8-bit quad's children are 4-bit leaves"),
+    })
 }
 
-/// The DSE hot loop: flattens a quad whose four children are value
-/// tables AND accumulates its exhaustive error statistics in one pass,
-/// composing products directly from hoisted child-table rows instead of
-/// walking the evaluator tree per pair. Sweep order is the canonical
-/// `b` outer / `a` fast axis and the accumulator is
-/// [`StatsBuilder`], so both outputs are bit-identical to
-/// [`flatten_quad`] + [`ErrorStats::exhaustive`].
-#[allow(clippy::too_many_arguments)]
-fn fused_quad_table_stats(
+/// Row `b` of a quad's value table (`row[a]`, `a = 0..2^(2m)`),
+/// composed from its children's `m`-bit tables `[ll, hl, lh, hh]`.
+/// Shared by the statistics sweep and the on-demand table, so both see
+/// the same products.
+fn compose_row(
+    b: usize,
+    [ll, hl, lh, hh]: [&[u32]; 4],
+    m: u32,
+    summation: Summation,
+    row: &mut [u32],
+) {
+    let half = 1usize << m;
+    let (bl, bh) = (b & (half - 1), b >> m);
+    let r_ll = &ll[bl << m..][..half];
+    let r_hl = &hl[bl << m..][..half];
+    let r_lh = &lh[bh << m..][..half];
+    let r_hh = &hh[bh << m..][..half];
+    for (ah, out) in row.chunks_exact_mut(half).enumerate() {
+        let (p_hl, p_hh) = (u64::from(r_hl[ah]), u64::from(r_hh[ah]));
+        for ((p, &p_ll), &p_lh) in out.iter_mut().zip(r_ll).zip(r_lh) {
+            *p = combine_products(p_ll.into(), p_hl, p_lh.into(), p_hh, m, summation) as u32;
+        }
+    }
+}
+
+/// The DSE hot loop: exhaustive error statistics of an 8-bit quad over
+/// its leaf tables, one composed operand row at a time, without
+/// building its value table. Rows go `b = 0..2^bits` with `a` the fast
+/// axis — the canonical sweep order — so the statistics are
+/// bit-identical to [`ErrorStats::exhaustive`] over the quad.
+fn quad_stats(
     name: &str,
     bits: u32,
     m: u32,
     summation: Summation,
-    ll: &[u32],
-    hl: &[u32],
-    lh: &[u32],
-    hh: &[u32],
-) -> (Vec<u32>, ErrorStats) {
-    let half = 1usize << m;
-    let mut table = vec![0u32; 1usize << (2 * bits)];
+    leaves: [&[u32]; 4],
+) -> ErrorStats {
+    let mut row = vec![0u32; 1usize << bits];
     let mut sb = StatsBuilder::new();
-    let mut out = table.iter_mut();
-    for b in 0..1u64 << bits {
-        let bl = (b as usize) & (half - 1);
-        let bh = (b as usize) >> m;
-        let r_ll = &ll[bl << m..(bl << m) + half];
-        let r_hl = &hl[bl << m..(bl << m) + half];
-        let r_lh = &lh[bh << m..(bh << m) + half];
-        let r_hh = &hh[bh << m..(bh << m) + half];
-        for ah in 0..half {
-            let p_hl = u64::from(r_hl[ah]);
-            let p_hh = u64::from(r_hh[ah]);
-            let a_hi = (ah as u64) << m;
-            for al in 0..half {
-                let a = a_hi | al as u64;
-                let p = combine_products(
-                    u64::from(r_ll[al]),
-                    p_hl,
-                    u64::from(r_lh[al]),
-                    p_hh,
-                    m,
-                    summation,
-                );
-                // Index (b << bits) | a is exactly the write cursor.
-                *out.next().expect("table sized to the operand space") = p as u32;
-                sb.push(a, b, a * b, p);
-            }
-        }
+    for b in 0..1usize << bits {
+        compose_row(b, leaves, m, summation, &mut row);
+        sb.push_row(b as u64, &row);
     }
-    (table, sb.finish(name.to_string(), bits, bits))
+    sb.finish(name.to_string(), bits, bits)
 }
 
 impl Multiplier for ComposedMultiplier {
@@ -223,8 +277,10 @@ pub struct CharCache {
     time_error_ns: AtomicU64,
 }
 
-/// Cumulative wall-clock split of the characterizations a [`CharCache`]
-/// has built, by phase (see [`CharCache::time_breakdown`]).
+/// Cumulative time split of the characterizations a [`CharCache`] has
+/// built, by phase (see [`CharCache::time_breakdown`]). Each phase sums
+/// the time of every build, whichever thread ran it, so with several
+/// threads building at once it exceeds the wall-clock time they took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CharTimeBreakdown {
     /// Error-statistics sweeps (exhaustive value tables / sampling).
@@ -386,23 +442,10 @@ impl CharCache {
                     self.characterize(&sub[2]).map_err(RestoreError::Fabric)?,
                     self.characterize(&sub[3]).map_err(RestoreError::Fabric)?,
                 ];
-                let quad = EvalNode::Quad {
+                EvalNode::Quad {
                     summation: *summation,
                     m: bits / 2,
-                    sub: Box::new([
-                        children[0].evaluator.node.clone(),
-                        children[1].evaluator.node.clone(),
-                        children[2].evaluator.node.clone(),
-                        children[3].evaluator.node.clone(),
-                    ]),
-                };
-                if bits <= 8 {
-                    EvalNode::Table {
-                        bits,
-                        table: Arc::new(flatten_quad(&quad, bits)),
-                    }
-                } else {
-                    quad
+                    sub: Box::new(children.each_ref().map(|c| c.eval_node())),
                 }
             }
         };
@@ -418,23 +461,14 @@ impl CharCache {
             energy_per_op: rec.energy_per_op,
             edp: rec.edp,
         };
-        let evaluator = ComposedMultiplier {
+        Ok(Some(BlockChar::new(
+            key,
             bits,
-            name: key.to_string(),
-            node,
-        };
-        Ok(Some(BlockChar {
-            key: key.to_string(),
-            bits,
-            netlist: Arc::new(netlist),
+            netlist,
             cost,
-            stats: rec.stats.clone(),
-            table: match &evaluator.node {
-                EvalNode::Table { table, .. } => Some(Arc::clone(table)),
-                EvalNode::Quad { .. } => None,
-            },
-            evaluator,
-        }))
+            rec.stats.clone(),
+            node,
+        )))
     }
 
     /// Per-record version hash: the structural netlist fingerprint
@@ -463,7 +497,7 @@ impl CharCache {
             // Leaf value tables are persisted; quad tables are cheap to
             // recompose from children, so only stats/cost are stored.
             let table = match cfg {
-                Config::Leaf(_) => block.table.as_deref().cloned(),
+                Config::Leaf(_) => block.table().map(|t| t.to_vec()),
                 Config::Quad { .. } => None,
             };
             let rec = StoredChar {
@@ -522,17 +556,15 @@ impl CharCache {
                     &subs[3].netlist,
                     *summation,
                 );
-                let m = bits / 2;
-                let sub_nodes = Box::new([
-                    subs[0].evaluator.node.clone(),
-                    subs[1].evaluator.node.clone(),
-                    subs[2].evaluator.node.clone(),
-                    subs[3].evaluator.node.clone(),
-                ]);
+                // Composing a wide quad builds its 8-bit children's value
+                // tables; that counts as error-sweep time.
+                let t_sub = Instant::now();
+                let sub = Box::new(subs.each_ref().map(|s| s.eval_node()));
+                self.add_error_time(t_sub);
                 let quad = EvalNode::Quad {
                     summation: *summation,
-                    m,
-                    sub: sub_nodes,
+                    m: bits / 2,
+                    sub,
                 };
                 let prog = CompiledNetlist::compile(&nl);
                 (nl, quad, prog)
@@ -544,76 +576,30 @@ impl CharCache {
         self.time_energy_ns
             .fetch_add(char_times.energy.as_nanos() as u64, Ordering::Relaxed);
         let t_err = Instant::now();
-        // For quads at ≤ 8 bits the flattening sweep and the exhaustive
-        // statistics visit the same pairs in the same order, so one pass
-        // ([`ErrorStats::exhaustive_tap`]) produces both; the table is
-        // bit-identical to [`flatten_quad`] and the restore path.
-        let (node, stats) = match node {
-            EvalNode::Quad {
-                summation,
-                m,
-                ref sub,
-            } if bits <= 8 => {
-                if let [EvalNode::Table { table: ll, .. }, EvalNode::Table { table: hl, .. }, EvalNode::Table { table: lh, .. }, EvalNode::Table { table: hh, .. }] =
-                    &**sub
-                {
-                    let (table, stats) =
-                        fused_quad_table_stats(key, bits, m, summation, ll, hl, lh, hh);
-                    let node = EvalNode::Table {
-                        bits,
-                        table: Arc::new(table),
-                    };
-                    (node, stats)
-                } else {
-                    let walker = ComposedMultiplier {
-                        bits,
-                        name: key.to_string(),
-                        node,
-                    };
-                    let mut table = vec![0u32; 1usize << (2 * bits)];
-                    let stats = ErrorStats::exhaustive_tap(&walker, |a, b, p| {
-                        table[((b as usize) << bits) | a as usize] = p as u32;
-                    });
-                    let node = EvalNode::Table {
-                        bits,
-                        table: Arc::new(table),
-                    };
-                    (node, stats)
-                }
+        let stats = match &node {
+            EvalNode::Quad { summation, m, sub } if bits <= 8 => {
+                quad_stats(key, bits, *m, *summation, leaf_tables(sub))
             }
             node => {
                 let evaluator = ComposedMultiplier {
                     bits,
                     name: key.to_string(),
-                    node,
+                    node: node.clone(),
                 };
-                let stats = if 2 * bits <= 16 {
+                if 2 * bits <= 16 {
                     ErrorStats::exhaustive(&evaluator)
                 } else {
                     ErrorStats::sampled(&evaluator, self.samples, self.sample_seed)
-                };
-                (evaluator.node, stats)
+                }
             }
         };
+        self.add_error_time(t_err);
+        Ok(BlockChar::new(key, bits, netlist, cost, stats, node))
+    }
+
+    fn add_error_time(&self, since: Instant) {
         self.time_error_ns
-            .fetch_add(t_err.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let evaluator = ComposedMultiplier {
-            bits,
-            name: key.to_string(),
-            node,
-        };
-        Ok(BlockChar {
-            key: key.to_string(),
-            bits,
-            netlist: Arc::new(netlist),
-            cost,
-            stats,
-            table: match &evaluator.node {
-                EvalNode::Table { table, .. } => Some(Arc::clone(table)),
-                EvalNode::Quad { .. } => None,
-            },
-            evaluator,
-        })
+            .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Cache hits so far.
@@ -640,10 +626,13 @@ impl CharCache {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Cumulative wall-clock split of the characterizations this cache
-    /// has built: error-statistics sweeps vs energy measurements vs
-    /// STA. Restores and in-memory hits add nothing — the split covers
-    /// actual compute only.
+    /// Cumulative time split of the characterizations this cache has
+    /// built: error-statistics sweeps vs energy measurements vs STA.
+    /// Summed across the threads that built them, so it is wall-clock
+    /// only when one thread builds. Restores and in-memory hits add
+    /// nothing — the split covers actual compute only (the error phase
+    /// includes composing an 8-bit child's value table for a wider
+    /// parent).
     pub fn time_breakdown(&self) -> CharTimeBreakdown {
         CharTimeBreakdown {
             error: Duration::from_nanos(self.time_error_ns.load(Ordering::Relaxed)),
@@ -686,5 +675,90 @@ impl CharCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Leaf;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Every homogeneous 8×8 quad plus seeded-random heterogeneous ones.
+    fn stratified_8x8() -> Vec<Config> {
+        let mut configs: Vec<Config> = [Summation::Accurate, Summation::CarryFree]
+            .into_iter()
+            .flat_map(|s| Leaf::ALL.map(|leaf| Config::uniform(Config::Leaf(leaf), s)))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0xD5E);
+        configs.extend((0..4).map(|_| Config::random(8, &mut rng)));
+        configs
+    }
+
+    /// Keys of the cached 8-bit blocks whose value table exists.
+    fn built_8x8_tables(cache: &CharCache) -> Vec<String> {
+        let mut keys: Vec<String> = cache
+            .map
+            .lock()
+            .unwrap()
+            .values()
+            .filter(|c| c.bits == 8 && c.quad_table.get().is_some())
+            .map(|c| c.key.clone())
+            .collect();
+        keys.sort();
+        keys
+    }
+
+    #[test]
+    fn characterizing_8x8_builds_no_table_and_tables_match_the_netlist() {
+        let cache = CharCache::new(Characterizer::virtex7());
+        let configs = stratified_8x8();
+        let blocks: Vec<_> = configs
+            .iter()
+            .map(|cfg| cache.characterize(cfg).unwrap())
+            .collect();
+        assert!(built_8x8_tables(&cache).is_empty());
+        for c in &blocks {
+            let table = c.table().expect("8-bit blocks have a table");
+            let mut swept = vec![u32::MAX; 1 << 16];
+            CompiledNetlist::compile(&c.netlist)
+                .for_each_operand_pair_in(0..1 << 16, |a, b, out| {
+                    swept[((b as usize) << 8) | a as usize] = out[0] as u32;
+                })
+                .unwrap();
+            assert!(**table == swept, "table of {} diverges", c.key);
+        }
+    }
+
+    #[test]
+    fn a_16x16_build_builds_exactly_its_8x8_children_tables() {
+        let cache = CharCache::new(Characterizer::virtex7()).with_sampling(1000, 7);
+        let children: Vec<Config> = ["(a A A A A)", "(c X T1 T2 T3)", "(a T3 A X X)"]
+            .iter()
+            .map(|k| k.parse().unwrap())
+            .collect();
+        let bystander: Config = "(c A A A A)".parse().unwrap();
+        for cfg in children.iter().chain([&bystander]) {
+            cache.characterize(cfg).unwrap();
+        }
+        let (builds, hits) = (cache.builds(), cache.hits());
+        let parent = Config::Quad {
+            summation: Summation::CarryFree,
+            sub: Box::new([
+                children[0].clone(),
+                children[1].clone(),
+                children[2].clone(),
+                children[0].clone(),
+            ]),
+        };
+        cache.characterize(&parent).unwrap();
+        // One build for the parent and one hit per quadrant: composing
+        // the children's tables is neither.
+        assert_eq!(cache.builds(), builds + 1);
+        assert_eq!(cache.hits(), hits + 4);
+        let mut expected: Vec<String> = children.iter().map(Config::key).collect();
+        expected.sort();
+        assert_eq!(built_8x8_tables(&cache), expected);
     }
 }

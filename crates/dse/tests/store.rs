@@ -69,7 +69,7 @@ fn warm_start_is_bit_identical_with_zero_builds() {
             cold_char.stats.avg_relative_error.to_bits()
         );
         assert_eq!(w.cost, cold_char.cost, "{}", cfg.key());
-        assert_eq!(w.table, cold_char.table, "{}", cfg.key());
+        assert_eq!(w.table(), cold_char.table(), "{}", cfg.key());
         let (wm, cm) = (w.multiplier(), cold_char.multiplier());
         for (a, b) in [(0u64, 0u64), (3, 7), (13, 11), (255, 254), (129, 77)] {
             assert_eq!(wm.multiply(a, b), cm.multiply(a, b));

@@ -78,38 +78,6 @@ impl ErrorStats {
         Self::over_pairs(m, pairs)
     }
 
-    /// [`ErrorStats::exhaustive`] that additionally invokes
-    /// `tap(a, b, approx)` for every operand pair, in the same sweep
-    /// order (`b` outer, `a` inner). Callers that need both the
-    /// statistics and an exhaustive value table (e.g. the DSE
-    /// characterization cache) build both in one pass instead of
-    /// enumerating the operand space twice; the statistics are
-    /// bit-identical to [`ErrorStats::exhaustive`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`ErrorStats::exhaustive`].
-    #[must_use]
-    pub fn exhaustive_tap(
-        m: &(impl Multiplier + ?Sized),
-        mut tap: impl FnMut(u64, u64, u64),
-    ) -> Self {
-        let (wa, wb) = (m.a_bits(), m.b_bits());
-        assert!(
-            wa + wb <= 32,
-            "exhaustive sweep over {wa}x{wb} is infeasible; use sampled()"
-        );
-        let mut sb = StatsBuilder::new();
-        for b in 0..=mask_for(wb) {
-            for a in 0..=mask_for(wa) {
-                let approx = m.multiply(a, b);
-                tap(a, b, approx);
-                sb.push(a, b, m.exact(a, b), approx);
-            }
-        }
-        sb.finish(m.name().to_string(), wa, wb)
-    }
-
     /// Characterizes `m` over `n` uniform-random operand pairs drawn
     /// from a deterministic RNG seeded with `seed`.
     #[must_use]
@@ -230,6 +198,9 @@ impl ErrorStats {
 /// chunk boundaries coincide with the 64-lane sweep blocks).
 const REL_CHUNK: u64 = 4096;
 
+/// Longest row [`StatsBuilder::push_row`] takes: one 8-bit operand.
+const MAX_ROW: usize = 256;
+
 /// Streaming accumulator shared by the scalar ([`ErrorStats::over_pairs`])
 /// and wide ([`ErrorStats::exhaustive_wide`]) characterization paths, so
 /// both are guaranteed to aggregate identically.
@@ -263,12 +234,12 @@ struct Accumulator {
 }
 
 /// Streaming builder for [`ErrorStats`] over an explicit operand
-/// stream, for callers that fuse the sweep with other per-pair work —
-/// e.g. the DSE characterization cache builds a quad's value table and
-/// its statistics in one tight loop. Pushing pairs in the canonical
-/// sweep order (`b` outer, `a` the fast axis) produces statistics
-/// bit-identical to [`ErrorStats::exhaustive`]: it is the same
-/// accumulator underneath.
+/// stream, for callers that produce the approximate products
+/// themselves — e.g. the DSE characterization cache composes an 8×8
+/// quad's products one operand row at a time from its leaf tables.
+/// Pushing pairs in the canonical sweep order (`b` outer, `a` the fast
+/// axis) produces statistics bit-identical to
+/// [`ErrorStats::exhaustive`]: it is the same accumulator underneath.
 #[derive(Debug, Default)]
 pub struct StatsBuilder {
     acc: Accumulator,
@@ -288,6 +259,23 @@ impl StatsBuilder {
         self.acc.push(a, b, exact, approx);
     }
 
+    /// Accounts one operand row: the pairs `(a, b)` for
+    /// `a = 0..row.len()`, with approximate product `row[a]` and exact
+    /// product `a·b`. Bit-identical to [`StatsBuilder::push`] on each
+    /// pair in order, but sums the integer statistics per row and scans
+    /// for worst-case witnesses only in rows that reach the running
+    /// maximum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row holds more than 256 pairs, if it would
+    /// straddle a relative-error chunk boundary (rows of one power-of-two
+    /// length, pushed from the start, never do), or if an exact product
+    /// `a·b` exceeds `u32::MAX`.
+    pub fn push_row(&mut self, b: u64, row: &[u32]) {
+        self.acc.push_row(b, row);
+    }
+
     /// Finalizes the statistics for a `wa`×`wb` multiplier named
     /// `name`.
     #[must_use]
@@ -297,13 +285,20 @@ impl StatsBuilder {
 }
 
 impl Accumulator {
+    /// Closes the current relative-error chunk once it is full. Chunks
+    /// close lazily, when the next sample arrives.
     #[inline]
-    fn push(&mut self, a: u64, b: u64, exact: u64, approx: u64) {
+    fn close_full_chunk(&mut self) {
         if self.in_chunk == REL_CHUNK {
             self.rel_chunks.push(self.chunk_rel);
             self.chunk_rel = 0.0;
             self.in_chunk = 0;
         }
+    }
+
+    #[inline]
+    fn push(&mut self, a: u64, b: u64, exact: u64, approx: u64) {
+        self.close_full_chunk();
         self.in_chunk += 1;
         self.samples += 1;
         let err = (exact as i64 - approx as i64).abs();
@@ -332,17 +327,94 @@ impl Accumulator {
         }
     }
 
+    /// [`Accumulator::push`] over the pairs `(a, b)`, `a = 0..row.len()`,
+    /// with exact products `a·b` and approximate products `row[a]`.
+    fn push_row(&mut self, b: u64, row: &[u32]) {
+        let len = row.len() as u64;
+        if len == 0 {
+            return;
+        }
+        assert!(len <= MAX_ROW as u64, "rows hold at most {MAX_ROW} pairs");
+        self.close_full_chunk();
+        // A whole row inside one chunk adds its relative errors to
+        // `chunk_rel` exactly where the per-pair path would.
+        assert!(
+            self.in_chunk + len <= REL_CHUNK,
+            "row of {len} pairs straddles a {REL_CHUNK}-sample relative-error chunk"
+        );
+        assert!(
+            (len - 1)
+                .checked_mul(b)
+                .is_some_and(|p| p <= u64::from(u32::MAX)),
+            "exact products of row b = {b} exceed u32"
+        );
+        self.in_chunk += len;
+        self.samples += len;
+        let b32 = b as u32;
+
+        // Branch-free, vectorizable passes: the error magnitudes and
+        // their maximum, then the integer sums.
+        let mut errs = [0u32; MAX_ROW];
+        let errs = &mut errs[..row.len()];
+        let (mut exact, mut row_max) = (0u32, 0u32);
+        for (e, &approx) in errs.iter_mut().zip(row) {
+            *e = exact.abs_diff(approx);
+            row_max = row_max.max(*e);
+            exact = exact.wrapping_add(b32);
+        }
+        if row_max == 0 {
+            return;
+        }
+        let (mut occ, mut sum) = (0u64, 0u64);
+        for &e in errs.iter() {
+            occ += u64::from(e != 0);
+            sum += u64::from(e);
+        }
+        self.occ += occ;
+        self.sum += u128::from(sum);
+        // 256 squares of errors below 2^28 sum without overflowing u64.
+        self.sum_sq += if row_max < 1 << 28 {
+            u128::from(errs.iter().map(|&e| u64::from(e).pow(2)).sum::<u64>())
+        } else {
+            errs.iter().map(|&e| u128::from(e).pow(2)).sum()
+        };
+        // Same terms, order and division as the per-pair path, which
+        // skips pairs without error; adding their `+0.0` instead is
+        // exact because a chunk sum is never negative.
+        if b != 0 {
+            let mut rel = self.chunk_rel;
+            for (a, &e) in errs.iter().enumerate().skip(1) {
+                rel += f64::from(e) / f64::from(a as u32 * b32);
+            }
+            self.chunk_rel = rel;
+        }
+        match i64::from(row_max).cmp(&self.max) {
+            std::cmp::Ordering::Greater => {
+                self.max = row_max.into();
+                self.max_occ = 0;
+                self.witnesses.clear();
+            }
+            std::cmp::Ordering::Equal => {}
+            std::cmp::Ordering::Less => return,
+        }
+        let at_max = || {
+            errs.iter()
+                .enumerate()
+                .filter(move |&(_, &e)| e == row_max)
+                .map(move |(a, _)| (a as u64, b))
+        };
+        self.max_occ += at_max().count() as u64;
+        let free = WITNESS_CAP.saturating_sub(self.witnesses.len());
+        self.witnesses.extend(at_max().take(free));
+    }
+
     /// Appends `next`, which must hold the samples immediately
     /// following `self`'s, with the boundary on a [`REL_CHUNK`]
     /// multiple. Counts and integer sums add exactly; the maximum and
     /// its occurrence count compose as they would have sequentially;
     /// the relative-error chunks concatenate in sample order.
     fn merge(&mut self, next: Accumulator) {
-        if self.in_chunk == REL_CHUNK {
-            self.rel_chunks.push(self.chunk_rel);
-            self.chunk_rel = 0.0;
-            self.in_chunk = 0;
-        }
+        self.close_full_chunk();
         assert_eq!(self.in_chunk, 0, "merge boundary must be chunk-aligned");
         self.samples += next.samples;
         self.occ += next.occ;
@@ -415,20 +487,7 @@ mod tests {
     use super::*;
     use axmul_baselines::Truncated;
     use axmul_core::Exact;
-
-    #[test]
-    fn exhaustive_tap_matches_exhaustive_and_fills_table() {
-        let m = Truncated::new(6, 3);
-        let mut table = vec![u64::MAX; 1 << 12];
-        let tapped =
-            ErrorStats::exhaustive_tap(&m, |a, b, p| table[((b as usize) << 6) | a as usize] = p);
-        assert_eq!(tapped, ErrorStats::exhaustive(&m));
-        for b in 0..64u64 {
-            for a in 0..64u64 {
-                assert_eq!(table[((b as usize) << 6) | a as usize], m.multiply(a, b));
-            }
-        }
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn exact_multiplier_has_zero_errors() {
@@ -621,5 +680,89 @@ mod tests {
         let z = ErrorStats::exhaustive(&axmul_core::Exact::new(6, 6));
         assert_eq!(z.mean_squared_error, 0.0);
         assert_eq!(z.rmse, 0.0);
+    }
+
+    /// Rows `(b, approx)` of `2^bits` pairs for `push_row`: `b` cycles
+    /// from 0, so row 0 and every `2^bits`-th row are `b = 0`; row 1 is
+    /// error-free; rows 2..7 hold the maximum error at `a = 1` and
+    /// `a = 3`, so ties at the maximum cross rows and exceed
+    /// [`WITNESS_CAP`]. With `huge`, that maximum is 2^30, whose squares
+    /// overflow a `u64` row sum.
+    fn random_rows(seed: u64, bits: u32, rows: usize, huge: bool) -> Vec<(u64, Vec<u32>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = 1u64 << bits;
+        let max_err = if huge { 1 << 30 } else { 9 };
+        (0..rows)
+            .map(|i| {
+                let b = i as u64 % len;
+                let row = (0..len)
+                    .map(|a| {
+                        let exact = (a * b) as u32;
+                        let e = match (i, a) {
+                            (1, _) => 0,
+                            (2..=6, 1 | 3) => max_err,
+                            _ => match rng.random::<u32>() % 8 {
+                                0..=3 => 0,
+                                7 => max_err,
+                                r => r - 3,
+                            },
+                        };
+                        if rng.random::<bool>() && e <= exact {
+                            exact - e
+                        } else {
+                            exact + e
+                        }
+                    })
+                    .collect();
+                (b, row)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `push_row` is bit-identical to per-pair `push` in the same
+        /// order, across many REL_CHUNK boundaries (4096 pairs are 16
+        /// rows at 8 bits and 256 rows at 4 bits).
+        #[test]
+        fn push_row_matches_per_pair_push(
+            seed in any::<u64>(),
+            bits in proptest::sample::select(vec![4u32, 8]),
+            rows in 7usize..1100,
+            huge in any::<bool>(),
+        ) {
+            let (mut by_row, mut by_pair) = (StatsBuilder::new(), StatsBuilder::new());
+            for (b, row) in random_rows(seed, bits, rows, huge) {
+                by_row.push_row(b, &row);
+                for (a, &p) in row.iter().enumerate() {
+                    by_pair.push(a as u64, b, a as u64 * b, p.into());
+                }
+            }
+            let by_row = by_row.finish("rows".into(), bits, bits);
+            let by_pair = by_pair.finish("rows".into(), bits, bits);
+            prop_assert!(by_pair.max_error_occurrences > WITNESS_CAP as u64);
+            prop_assert_eq!(&by_row, &by_pair);
+            for (r, p) in [
+                (by_row.avg_error, by_pair.avg_error),
+                (by_row.avg_relative_error, by_pair.avg_relative_error),
+                (by_row.error_probability, by_pair.error_probability),
+                (by_row.normalized_mean_error_distance, by_pair.normalized_mean_error_distance),
+                (by_row.mean_squared_error, by_pair.mean_squared_error),
+                (by_row.rmse, by_pair.rmse),
+            ] {
+                prop_assert_eq!(r.to_bits(), p.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "straddles")]
+    fn push_row_rejects_a_row_across_a_chunk_boundary() {
+        let mut sb = StatsBuilder::new();
+        sb.push(0, 0, 0, 0);
+        for b in 0..16 {
+            sb.push_row(b, &[0; 256]);
+        }
     }
 }

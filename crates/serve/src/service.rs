@@ -622,10 +622,11 @@ impl Service {
                     ("misses", Value::Num(self.cache.misses() as f64)),
                     ("disk_hits", Value::Num(self.cache.disk_hits() as f64)),
                     ("builds", Value::Num(self.cache.builds() as f64)),
-                    // Wall-clock split of this process's cache builds
-                    // (error sweeps vs packed energy vs STA), so
-                    // operators see where characterization time goes
-                    // without re-profiling.
+                    // Time split of this process's cache builds (error
+                    // sweeps vs packed energy vs STA), so operators see
+                    // where characterization time goes without
+                    // re-profiling. Summed across builder threads: not
+                    // wall-clock when several workers build at once.
                     (
                         "char_time_s",
                         Value::obj([
